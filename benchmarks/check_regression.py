@@ -20,7 +20,10 @@ Metric classes and their tolerances:
 
 A baseline is only compared when its ``records``/``seed`` stamp matches
 the fresh run — a quick local pass at different scale skips instead of
-false-alarming.
+false-alarming.  A metric that only means something on like hardware
+(the 4-vs-1-worker throughput ratio depends on the CPU count) is
+compared only when both runs stamp the same value; otherwise it is
+printed as skipped with both stamps.
 
 Usage::
 
@@ -67,6 +70,13 @@ RATIO_METRICS: Dict[str, List[Tuple[Tuple[str, ...], str, float]]] = {
         (("filter_plane_speedup", "ebcp"), "min_ratio", 0.25),
         (("kernel_speedup", "ebcp"), "min_ratio", 0.25),
     ],
+}
+
+#: Metrics comparable only when baseline and fresh run agree on a stamp:
+#: with fewer CPUs than shards the shards time-share, so a ratio taken
+#: on one CPU count says nothing about another.
+SAME_STAMP: Dict[Tuple[str, Tuple[str, ...]], str] = {
+    ("service", ("scaling_throughput_ratio_4w",)): "scaling_cpu_count",
 }
 
 #: Two-sided relative tolerance for deterministic payload kinds.
@@ -149,19 +159,30 @@ def _deterministic_metrics(payload: dict) -> Iterator[Tuple[str, float]]:
                     yield f"{workload}/{field}", float(value)
 
 
-def compare_bench(name: str, baseline: dict, current: dict) -> Tuple[List[Comparison], Optional[str]]:
-    """All tracked comparisons for one bench, or a reason to skip."""
+def compare_bench(
+    name: str, baseline: dict, current: dict
+) -> Tuple[List[Comparison], Optional[str], List[str]]:
+    """All tracked comparisons for one bench, or a reason to skip it,
+    plus one line per metric skipped because a stamp differs."""
     for stamp in ("records", "seed"):
         if baseline.get(stamp) != current.get(stamp):
             return [], (
                 f"{stamp} differs (baseline {baseline.get(stamp)}, "
                 f"current {current.get(stamp)}) — not comparable"
-            )
+            ), []
     comparisons: List[Comparison] = []
+    skipped: List[str] = []
     for path, mode, tolerance in RATIO_METRICS.get(name, []):
         base_value = _dig(baseline, path)
         cur_value = _dig(current, path)
         if base_value is None or cur_value is None:
+            continue
+        stamp = SAME_STAMP.get((name, path))
+        if stamp is not None and baseline.get(stamp) != current.get(stamp):
+            skipped.append(
+                f"  [   skipped] {name}:{'.'.join(path)}  {stamp} differs "
+                f"(baseline {baseline.get(stamp)}, current {current.get(stamp)})"
+            )
             continue
         comparisons.append(
             Comparison(name, ".".join(path), base_value, cur_value, mode, tolerance)
@@ -176,7 +197,7 @@ def compare_bench(name: str, baseline: dict, current: dict) -> Tuple[List[Compar
                     Comparison(name, metric, base_metrics[metric], cur_value,
                                "match", tolerance)
                 )
-    return comparisons, None
+    return comparisons, None, skipped
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -217,14 +238,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         baseline = json.loads(baseline_path.read_text())
         current = json.loads(current_path.read_text())
-        comparisons, skip = compare_bench(name, baseline, current)
+        comparisons, skip, skipped = compare_bench(name, baseline, current)
         if skip:
             print(f"~ {name}: {skip}, skipped")
             continue
         if not comparisons:
             print(f"~ {name}: no tracked metrics")
+            for line in skipped:
+                print(line)
             continue
         print(f"{name}:")
+        for line in skipped:
+            print(line)
         for comparison in comparisons:
             print(comparison.render())
             compared += 1

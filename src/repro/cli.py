@@ -422,9 +422,12 @@ def _render_top(stats: dict, req_per_s: float) -> str:
         f"    pool {pool.get('workers', 0)}w gen{pool.get('generation', 0)}"
         f"    batch mean {batch.get('mean', 0.0):.1f} max {batch.get('max', 0)}"
     )
+    front = cache.get("front")
     lines.append(
         f"  cache {cache.get('entries', 0)} entries"
         f"    hit ratio {hit_ratio * 100:5.1f} % ({hits}/{lookups})"
+        f"    at admission {cache.get('admission_hits', 0)}"
+        + (f"    front-end {front.get('hits', 0)}" if front else "")
     )
     disk = cache.get("disk")
     if disk:

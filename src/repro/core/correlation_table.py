@@ -38,6 +38,7 @@ on demand by :meth:`CorrelationTable.entry_at`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from ..memory.main_memory import Allocation, MainMemory, OutOfMemoryError
@@ -209,6 +210,25 @@ class CorrelationTable:
         self._stamp += 1
         addrs[line] = self._stamp
         return True
+
+    def __deepcopy__(self, memo: dict) -> "CorrelationTable":
+        """A deep copy without walking the two entry arrays element by
+        element: tags are ints and each address map is int -> int, so a
+        ``list``/``dict`` copy already copies them deeply.  Every other
+        attribute goes through ``copy.deepcopy`` with the shared ``memo``,
+        so references shared with the rest of the copied object graph
+        (the memory allocation) stay shared."""
+        clone = self.__class__.__new__(self.__class__)
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name == "_tags":
+                value = list(value)
+            elif name == "_addrs":
+                value = [None if addrs is None else dict(addrs) for addrs in value]
+            else:
+                value = copy.deepcopy(value, memo)
+            setattr(clone, name, value)
+        return clone
 
     # ------------------------------------------------------------------
     def entry_at(self, index: int) -> TableEntry | None:

@@ -553,6 +553,10 @@ class RouterMetrics:
         self.resizes = r.counter(
             "router_resizes_total", "admin resize operations completed"
         )
+        self.front_hits = r.counter(
+            "router_front_cache_hits",
+            "simulate and sweep jobs answered from the front-end memory tier",
+        )
         self.forward_ms = r.histogram(
             "router_forward_latency_ms",
             FORWARD_LATENCY_MS_BUCKETS,
@@ -614,6 +618,10 @@ class ServiceMetrics:
         )
         self.cache_misses = r.counter(
             "result_cache_misses", "simulate requests that ran a simulation job"
+        )
+        self.admission_hits = r.counter(
+            "result_cache_admission_hits",
+            "simulate and sweep jobs answered from the memory tier at admission",
         )
         self.queue_depth = r.gauge("service_queue_depth", "requests waiting in the queue")
         self.latency_ms = r.histogram(

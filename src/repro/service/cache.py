@@ -28,7 +28,12 @@ Tiers
 The in-memory tier is a bounded LRU of
 :meth:`~repro.engine.stats.SimulationResult.snapshot` dictionaries —
 every hit rehydrates a fresh ``SimulationResult`` so callers can never
-mutate the cached copy.
+mutate the cached copy.  ``get(key, disk=False)`` probes this tier
+alone: the service calls it on the event loop at admission, so a
+memory hit is answered before the request enters the batch queue,
+while a memory miss (counted nowhere) goes on to the batch path, whose
+full ``get`` reads the disk tier and counts the hit or miss.  The
+sharded front-end keeps a memory-only instance of its own.
 
 With ``spill_dir`` set, every ``put`` also writes the snapshot through
 to disk as a content-addressed JSON entry (file name = sha256 of the
@@ -125,11 +130,15 @@ class ResultCache:
     ) -> CacheKey:
         return (trace_fingerprint, config_fingerprint, prefetcher, warmup_records)
 
-    def get(self, key: CacheKey) -> Optional[SimulationResult]:
+    def get(self, key: CacheKey, disk: bool = True) -> Optional[SimulationResult]:
         """The cached result for ``key`` (a fresh object), or None.
 
         Checks the memory tier first, then — when spilling is enabled —
         the disk tier, promoting a verified disk entry back into memory.
+
+        ``disk=False`` checks the memory tier only and counts a miss
+        nowhere: it is the admission probe, which must never read a file,
+        and a request it misses goes on to a full ``get`` that counts.
         """
         with self._lock:
             snapshot = self._entries.get(key)
@@ -137,6 +146,8 @@ class ResultCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return SimulationResult.from_snapshot(snapshot)
+        if not disk:
+            return None
         snapshot = self._disk_get(key)
         if snapshot is not None:
             with self._lock:

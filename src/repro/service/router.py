@@ -12,7 +12,16 @@ localhost port — its own admission queue, micro-batcher,
   parameters + processor-config fingerprint, so every run of one trace
   lands on the same shard and that shard's trace memo, filter planes
   and result cache stay hot (locality-preserving request routing);
-* **proxies** at the byte level: an untraced frame is forwarded
+* **answers repeats itself** from a front-end memory tier (a
+  :class:`~repro.service.cache.ResultCache` with no disk tier), filled
+  from shard replies that were themselves cache hits and keyed by the
+  request's generation parameters (``extended_cache_key``), since the
+  front-end never holds a trace fingerprint.  A hit skips the second socket hop, which costs
+  about as much as a whole shard-side hit, and is stamped with the key's
+  current owning shard.  The supervisor empties the tier whenever it
+  respawns or retires a shard or resizes the fleet, so the next repeat
+  of every key reaches, and exercises, its current owner;
+* **proxies** the rest at the byte level: an untraced frame is forwarded
   verbatim over a pooled shard connection and the shard's response is
   returned with ``"shard": {"index", "pid"}`` metadata attached;
   a traced frame is re-parented under a ``router:route`` span first,
@@ -50,15 +59,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..engine.config import ProcessorConfig
+from ..engine.stats import SimulationResult
 from ..obs.bus import EventBus
 from ..obs.events import Event
 from ..obs.metrics import MetricsRegistry, RouterMetrics
 from ..obs.prometheus import render_prometheus
-from ..obs.tracing import SpanRecorder, TraceContext
+from ..obs.tracing import SpanRecorder, TraceContext, wall_us
 from ..prefetchers.registry import PREFETCHERS
 from ..resilience.policy import ExecutionPolicy
 from ..workloads.registry import WORKLOADS
 from . import protocol
+from .cache import ResultCache
 from .protocol import ErrorCode, ProtocolError, Request, SimulateParams
 from .server import ServiceConfig, SimulationService
 from .sharding import HashRing, routing_key
@@ -128,6 +139,12 @@ class ShardedService:
         self._retired: List[Tuple[int, Dict[str, Any]]] = []
         #: Fleet-wide metric snapshot frozen at drain (``merged_metrics``).
         self._final_metrics: Optional[Dict[str, Any]] = None
+        #: Front-end memory tier: shard cache-hit replies, keyed by
+        #: generation parameters, answered here without a shard hop.
+        self.front_cache = ResultCache(self.config.cache_entries)
+        #: Bumped by :meth:`forget_front_cache`; a reply fills the tier
+        #: only if no fleet change happened while it was in flight.
+        self._front_generation = 0
 
     def emit(self, event: Event) -> None:
         """Publish an obs event when a bus is attached and listening."""
@@ -257,6 +274,55 @@ class ShardedService:
     @property
     def draining(self) -> bool:
         return self._draining
+
+    # ------------------------------------------------------------------
+    # Front-end memory tier
+    # ------------------------------------------------------------------
+    def forget_front_cache(self) -> None:
+        """Empty the front-end tier after a fleet change (respawn, retire,
+        resize): the next repeat of every key reaches its current owner."""
+        self.front_cache.clear()
+        self._front_generation += 1
+
+    def _front_hit(
+        self, key: tuple, owner: ShardInfo, ctx: Optional[TraceContext]
+    ) -> Optional[SimulationResult]:
+        """The front-end tier's result for ``key``, answered on behalf of
+        its ``owner`` shard, or None; a traced hit records
+        ``cache:lookup`` (``at=front``) under ``ctx``.
+
+        A dead owner gets no answers on its behalf, even before the
+        supervisor has noticed the death: the request takes the proxied
+        path, which reports the failure and answers a retryable
+        ``queue_full`` until the replacement is up.
+        """
+        if not owner.process.is_alive():
+            return None
+        started_us = wall_us()
+        hit = self.front_cache.get(key)
+        if hit is None:
+            return None
+        self.metrics.front_hits.inc()
+        if ctx is not None:
+            self.recorder.record_manual(
+                "cache:lookup", ctx, started_us, wall_us() - started_us,
+                hit=True, at="front",
+            )
+        return hit
+
+    def _front_fill(self, key: tuple, frame: Dict[str, Any], generation: int) -> None:
+        """Remember a shard's cache-hit reply, unless the fleet changed
+        while it was in flight.
+
+        Only a reply the owner answered from its own cache fills the
+        tier: a key asked for a second time is proven hot, so a one-off
+        miss never takes a slot in the bounded tier (a sweep's cold pass
+        would otherwise flush it), and the front-end's first answer for
+        a key always comes after its owner has served that key itself.
+        """
+        if not frame.get("cached") or generation != self._front_generation:
+            return
+        self.front_cache.put(key, SimulationResult.from_snapshot(frame["result"]))
 
     # ------------------------------------------------------------------
     # Shard links
@@ -397,7 +463,7 @@ class ShardedService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
                 pass
 
     async def _handle_frame(
@@ -469,7 +535,9 @@ class ShardedService:
         return protocol.encode_frame(protocol.ok_response(request.id, result))
 
     async def _proxy_simulate(self, request: Request, line: bytes) -> bytes:
-        """Route one simulate frame to its shard and relay the answer."""
+        """Answer one simulate from the front-end tier, or route it to its
+        shard and relay the answer."""
+        received = time.monotonic()
         if self._draining:
             return protocol.encode_frame(
                 protocol.error_response(
@@ -485,12 +553,12 @@ class ShardedService:
             return protocol.encode_frame(
                 protocol.error_response(request.id, exc.code, exc.message, **exc.details)
             )
+        from ..spec.wire import config_from_wire, extended_cache_key
+
         config_fp = self._config_fp
         if params.config is not None:
             # v4 extended simulate: route by the job's *built* config, so
             # every run of one (trace, config) cell lands on one shard.
-            from ..spec.wire import config_from_wire
-
             try:
                 config_fp = config_from_wire(params.config).fingerprint()
             except Exception as exc:
@@ -520,8 +588,7 @@ class ShardedService:
                     retry_after_s=self.supervisor.retry_after_s(),
                 )
             )
-        self.metrics.count_route(shard.name)
-
+        front_key = extended_cache_key(params, config_fp)
         ctx = TraceContext.from_wire(request.trace)
         span = None
         payload = line
@@ -536,9 +603,44 @@ class ShardedService:
                 request_id=request.id,
             )
             span.__enter__()
+        try:
+            return await self._route_simulate(
+                request, params, payload, shard, front_key, span, received
+            )
+        finally:
+            if span is not None:
+                span.__exit__(None)
+
+    async def _route_simulate(
+        self,
+        request: Request,
+        params: SimulateParams,
+        payload: bytes,
+        shard: ShardInfo,
+        front_key: tuple,
+        span: Optional[Any],
+        received: float,
+    ) -> bytes:
+        """The front-end tier's answer, else one shard round-trip."""
+        if params.use_cache:
+            hit = self._front_hit(
+                front_key, shard, span.context if span is not None else None
+            )
+            if hit is not None:
+                frame = protocol.ok_response(
+                    request.id,
+                    hit.snapshot(),
+                    cached=True,
+                    elapsed_ms=(time.monotonic() - received) * 1000.0,
+                )
+                frame["shard"] = {"index": shard.index, "pid": shard.pid}
+                return protocol.encode_frame(frame)
+        self.metrics.count_route(shard.name)
+        if span is not None:
             forwarded = request.to_dict()
             forwarded["trace"] = span.context.to_wire()
             payload = protocol.encode_frame(forwarded)
+        generation = self._front_generation
         started = time.monotonic()
         try:
             answer = await self._shard_roundtrip(shard, payload)
@@ -567,9 +669,6 @@ class ShardedService:
                     f"{shard.name} (pid {shard.pid}) unreachable: {exc}",
                 )
             )
-        finally:
-            if span is not None:
-                span.__exit__(None)
         self.metrics.forward_ms.observe((time.monotonic() - started) * 1000.0)
         try:
             frame = protocol.decode_frame(answer)
@@ -580,6 +679,7 @@ class ShardedService:
                     request.id, ErrorCode.INTERNAL, f"{shard.name} answered garbage"
                 )
             )
+        self._front_fill(front_key, frame, generation)
         frame["shard"] = {"index": shard.index, "pid": shard.pid}
         return protocol.encode_frame(frame)
 
@@ -600,11 +700,13 @@ class ShardedService:
         ever sees plain (extended) simulate frames, routed by
         ``routing_key(workload, records, seed, built-config
         fingerprint)`` so a sweep enjoys the same cache/trace locality
-        as individual requests.  Per-job result frames are streamed back
-        to the client as shards answer, then a terminal done frame.
+        as individual requests.  A job whose result the front-end tier
+        holds is answered here, stamped with its owning shard.  Per-job
+        result frames are streamed back to the client as they settle,
+        then a terminal done frame.
         """
         from ..spec import SpecError, SweepSpec, expand
-        from ..spec.wire import simulate_params_for
+        from ..spec.wire import extended_cache_key, simulate_params_for
 
         if writer is None:  # pragma: no cover - defensive
             return protocol.encode_frame(
@@ -648,14 +750,15 @@ class ShardedService:
 
         limits = {shard.name: shard_limit() for shard in self.shards}
         errors = 0
+        ctx = TraceContext.from_wire(request.trace)
 
         async def run_job(meta: Any) -> None:
             nonlocal errors
             params = dict(simulate_params_for(meta))
             params["use_cache"] = bool(use_cache)
-            key = routing_key(
-                meta.workload, meta.records, meta.seed, fp_by_label[meta.config_label]
-            )
+            config_fp = fp_by_label[meta.config_label]
+            key = routing_key(meta.workload, meta.records, meta.seed, config_fp)
+            front_key = extended_cache_key(SimulateParams.from_dict(params), config_fp)
             job_frame: Dict[str, Any] = {
                 "v": protocol.PROTOCOL_VERSION,
                 "id": f"{request.id}#{meta.index}",
@@ -681,14 +784,21 @@ class ShardedService:
                 ):
                     await asyncio.sleep(self.supervisor.retry_after_s())
                     continue
+                if use_cache:
+                    hit = self._front_hit(front_key, shard, ctx)
+                    if hit is not None:
+                        frame = protocol.ok_response(request.id, hit.snapshot(), cached=True)
+                        break
                 if routed_to != shard.name:
                     self.metrics.count_route(shard.name)
                     routed_to = shard.name
                 retry_sleep: Optional[float] = None
+                generation = self._front_generation
                 async with limits.setdefault(shard.name, shard_limit()):
                     try:
                         answer = await self._shard_roundtrip(shard, payload)
                         frame = protocol.decode_frame(answer)
+                        self._front_fill(front_key, frame, generation)
                     except ProtocolError as exc:
                         self.metrics.errors.inc()
                         frame = protocol.error_response(
@@ -813,7 +923,9 @@ class ShardedService:
         shard_stats = await self._fan_out("stats")
         agg = MetricsRegistry()
         sim = MetricsRegistry()
-        cache = {"entries": 0, "hits": 0, "misses": 0, "max_entries": 0}
+        cache = {
+            "entries": 0, "hits": 0, "misses": 0, "max_entries": 0, "admission_hits": 0,
+        }
         disk = {"entries": 0, "hits": 0, "spilled": 0, "quarantined": 0}
         has_disk = False
         queue = {"depth": 0, "limit": 0}
@@ -834,7 +946,7 @@ class ShardedService:
             agg.merge(stats.get("metrics", {}))
             sim.merge(stats.get("simulation", {}))
             shard_cache = stats.get("cache", {})
-            for field_name in ("entries", "hits", "misses", "max_entries"):
+            for field_name in ("entries", "hits", "misses", "max_entries", "admission_hits"):
                 cache[field_name] += shard_cache.get(field_name, 0)
             shard_disk = shard_cache.get("disk")
             if shard_disk:
@@ -877,6 +989,14 @@ class ShardedService:
             sim.merge(payload.get("simulation", {}))
         if has_disk:
             cache["disk"] = disk
+        # Front-end hits never reach a shard; they count as fleet hits.
+        front_hits = self.metrics.front_hits.value
+        cache["hits"] += front_hits
+        cache["front"] = {
+            "entries": len(self.front_cache),
+            "max_entries": self.front_cache.max_entries,
+            "hits": front_hits,
+        }
         latency = {"p50": 0.0, "p90": 0.0, "p99": 0.0, "count": 0}
         if "request_latency_ms" in agg:
             merged = agg["request_latency_ms"]

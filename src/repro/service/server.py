@@ -20,9 +20,17 @@ requests:
   service, so pool workers (and their inherited trace/filter-plane
   memos) survive across batches;
 * **result cache**: completed runs are cached by content fingerprint
-  (:mod:`repro.service.cache`); a repeat request is answered in
-  microseconds without touching the queue's *execution* cost (it still
-  passes admission, so backpressure semantics stay uniform);
+  (:mod:`repro.service.cache`).  A repeat whose result sits in the
+  memory tier is answered on the event loop at admission, before the
+  queue: it never waits out the batch window or a miss batch already
+  running, and it is answered even when the queue is full, because
+  backpressure bounds execution and a hit executes nothing.  Admission
+  never builds a trace or reads a file to find the key: a plain-shape
+  request needs its trace fingerprint, which it finds in a bounded memo
+  the batch path fills whenever it builds a trace, and an extended (v4)
+  request is keyed by its generation parameters.  Everything else —
+  first sight of a trace, disk-tier hits, ``use_cache=False`` — takes
+  the queue and the batch path as before;
 * **graceful drain**: SIGTERM/SIGINT (or a ``shutdown`` request) stops
   admission, finishes every queued and in-flight request, delivers the
   responses, then exits.
@@ -43,6 +51,7 @@ import logging
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -170,6 +179,13 @@ class SimulationService:
             recorder=self.recorder,
         )
         self.address: Optional[Tuple[str, int]] = None
+        #: ``(workload, records, seed)`` -> trace fingerprint, filled where
+        #: the batch path builds a trace, so admission can key a repeat of
+        #: a plain-shape request without building one.  Bounded by
+        #: ``cache_entries``: more traces than results is never useful.
+        self._fingerprints: "OrderedDict[Tuple[str, int, int], str]" = OrderedDict()
+        self._fingerprints_lock = threading.Lock()
+        self._config_fp = ProcessorConfig.scaled().fingerprint()
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -350,12 +366,18 @@ class SimulationService:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass  # client vanished mid-conversation; nothing to answer
+        except asyncio.CancelledError:
+            # An idle persistent client is still parked in readline when
+            # the drained loop shuts down and cancels this task.  That is
+            # normal shutdown: end the task instead of leaving a cancelled
+            # one for asyncio's connection callback to log.
+            pass
         finally:
             self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
                 pass
 
     async def _handle_frame(
@@ -431,13 +453,18 @@ class SimulationService:
             self._emit_completed("simulate", request.id, started, ok=False)
             return protocol.error_response(request.id, exc.code, exc.message, **exc.details)
 
+        trace = span.context if span is not None else None
+        hit = self._admission_hit(params, trace)
+        if hit is not None:
+            return self._simulate_answer(request, started, span, hit, cached=True)
+
         assert self._queue is not None and self._loop is not None
         pending = _PendingRequest(
             request_id=request.id,
             params=params,
             received_at=started,
             future=self._loop.create_future(),
-            trace=span.context if span is not None else None,
+            trace=trace,
             received_us=wall_us(),
         )
         try:
@@ -469,6 +496,17 @@ class SimulationService:
             return protocol.error_response(
                 request.id, ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
             )
+        return self._simulate_answer(request, started, span, result, cached)
+
+    def _simulate_answer(
+        self,
+        request: Request,
+        started: float,
+        span: Optional[Any],
+        result: SimulationResult,
+        cached: bool,
+    ) -> Dict[str, Any]:
+        """The ok frame of one served simulate (admission or batch)."""
         elapsed_ms = (time.monotonic() - started) * 1000.0
         if span is not None:
             span.set(cached=cached)
@@ -479,6 +517,61 @@ class SimulationService:
             cached=cached,
             elapsed_ms=elapsed_ms,
         )
+
+    # ------------------------------------------------------------------
+    # Admission-time result-cache hits
+    # ------------------------------------------------------------------
+    def _admission_key(self, params: SimulateParams) -> Optional[tuple]:
+        """``params``' result-cache key when admission can build it
+        without a trace; None sends the request down the batch path."""
+        if params.is_extended():
+            from ..spec.wire import config_from_wire, extended_cache_key
+
+            try:
+                config_fp = config_from_wire(params.config).fingerprint()
+            except Exception:
+                return None  # the batch path reports the bad payload
+            return extended_cache_key(params, config_fp)
+        fingerprint = self._fingerprints.get(
+            (params.workload, params.records, params.seed)
+        )
+        if fingerprint is None:
+            return None
+        return ResultCache.key(
+            fingerprint, self._config_fp, params.prefetcher, params.warmup_records
+        )
+
+    def _admission_hit(
+        self, params: SimulateParams, trace: Optional[TraceContext]
+    ) -> Optional[SimulationResult]:
+        """The memory-tier result for ``params``, looked up on the event
+        loop before the request is queued; None when it must queue."""
+        if not params.use_cache:
+            return None
+        key = self._admission_key(params)
+        if key is None:
+            return None
+        started_us = wall_us()
+        hit = self.cache.get(key, disk=False)
+        if hit is None:
+            return None
+        self.metrics.admission_hits.inc()
+        if trace is not None:
+            self.recorder.record_manual(
+                "cache:lookup", trace, started_us, wall_us() - started_us,
+                hit=True, at="admission",
+            )
+        return hit
+
+    def _remember_fingerprint(self, triple: Tuple[str, int, int], fingerprint: str) -> None:
+        """Memoise a built trace's fingerprint for admission (batch thread)."""
+        if self.config.cache_entries == 0:
+            return
+        with self._fingerprints_lock:
+            self._fingerprints[triple] = fingerprint
+            self._fingerprints.move_to_end(triple)
+            while len(self._fingerprints) > self.config.cache_entries:
+                self._fingerprints.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Sweep streaming (v4)
@@ -505,11 +598,12 @@ class SimulationService:
     ) -> Dict[str, Any]:
         """Expand a sweep spec and stream per-job frames as they settle.
 
-        Every job enters the same admission queue and micro-batching
-        dispatcher as a plain simulate (so results are bit-identical to
-        individual requests), but admission *blocks* instead of
-        answering ``queue_full`` — a sweep is one request and its
-        backpressure is the stream itself.
+        Every job is admitted like a plain simulate: a memory-tier hit
+        is answered at admission, and the rest enter the same queue and
+        micro-batching dispatcher (so results are bit-identical to
+        individual requests).  Queueing *blocks* instead of answering
+        ``queue_full`` — a sweep is one request and its backpressure is
+        the stream itself.
         """
         from ..spec import SpecError, SweepSpec, expand
         from ..spec.wire import simulate_params_for
@@ -558,7 +652,11 @@ class SimulationService:
                 trace=ctx,
                 received_us=wall_us(),
             )
-            await self._queue.put(pending)
+            hit = self._admission_hit(params, ctx)
+            if hit is not None:
+                pending.future.set_result((hit, True))
+            else:
+                await self._queue.put(pending)
             pendings.append(pending)
         self.metrics.queue_depth.set(float(self._queue.qsize()))
 
@@ -717,8 +815,12 @@ class SimulationService:
                     trace = make_workload(
                         params.workload, records=params.records, seed=params.seed
                     )
+                    fingerprint = trace.fingerprint()
+                    self._remember_fingerprint(
+                        (params.workload, params.records, params.seed), fingerprint
+                    )
                     key = ResultCache.key(
-                        trace.fingerprint(),
+                        fingerprint,
                         config.fingerprint(),
                         params.prefetcher,
                         params.warmup_records,
@@ -727,7 +829,7 @@ class SimulationService:
                 if params.use_cache:
                     if pending.trace is not None:
                         with self.recorder.span(
-                            "cache:lookup", parent=pending.trace
+                            "cache:lookup", parent=pending.trace, at="batch"
                         ) as cache_span:
                             hit = self.cache.get(key)
                             cache_span.set(hit=hit is not None)
@@ -814,7 +916,10 @@ class SimulationService:
             "shard_index": self.config.shard_index,
             "uptime_s": time.monotonic() - self._started_at,
             "queue": {"depth": self._queue.qsize(), "limit": self.config.queue_size},
-            "cache": self.cache.info(),
+            "cache": {
+                **self.cache.info(),
+                "admission_hits": self.metrics.admission_hits.value,
+            },
             "pool": {
                 "workers": self.pool.max_workers,
                 "generation": self.pool.generation,

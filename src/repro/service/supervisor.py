@@ -44,6 +44,12 @@ lifecycle end to end:
   Consistent hashing guarantees only the added/removed shards' keys
   remap — the property ``tests/test_sharding.py`` pins.
 
+Every one of these fleet changes — a shard declared dead, respawned or
+retired, a resize that added or removed shards — empties the router's
+front-end memory tier, so the next repeat of every key reaches its
+current owner (a reborn shard answers from its disk tier, a newcomer
+from its preload) instead of being answered on the owner's behalf.
+
 The supervisor is deliberately an *event-loop peer* of the router, not
 a thread: every mutation of ``shards``/``ring``/``_by_name`` happens on
 the loop, so the router's request handlers never observe a torn fleet.
@@ -386,6 +392,7 @@ class ShardSupervisor:
             return
         shard.died_at = time.monotonic()
         drop_idle_links(shard)
+        self.service.forget_front_cache()
         if shard.restarts >= self.max_restarts:
             shard.state = ShardState.DEAD
             self._retire_dead(shard, cause)
@@ -423,6 +430,7 @@ class ShardSupervisor:
         shard.probe_misses = 0
         shard.started_at = time.monotonic()
         shard.state = ShardState.READY
+        svc.forget_front_cache()
         try:
             old_process.join(0)  # reap the zombie; it is already dead
         except Exception:  # pragma: no cover - platform quirks
@@ -486,6 +494,7 @@ class ShardSupervisor:
             svc.workers = len(svc.shards)
             svc.metrics.shards.set(float(len(svc.shards)))
             if added or removed:
+                svc.forget_front_cache()
                 svc.metrics.resizes.inc()
                 svc.emit(
                     FleetResized(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,54 @@ class TestResidency:
 
     def test_size_bytes(self):
         assert make_table(n_entries=1024).size_bytes == 1024 * 64
+
+
+class TestDeepCopy:
+    @staticmethod
+    def state(table):
+        return (
+            list(table._tags),
+            [None if a is None else dict(a) for a in table._addrs],
+            table._stamp,
+            vars(table.stats).copy(),
+        )
+
+    def trained(self, **kwargs):
+        table = make_table(n_entries=64, **kwargs)
+        for key in range(40):
+            table.train(key * 7, [key, key + 1, key + 2, key + 3, key + 4])
+        table.touch(table.index_of(7), 2)
+        return table
+
+    def test_clone_has_the_same_state(self):
+        table = self.trained()
+        before = self.state(table)
+        clone = copy.deepcopy(table)
+        assert self.state(clone) == before
+        assert self.state(table) == before
+        assert clone.lookup(7) == table.lookup(7)
+
+    def test_clone_is_independent(self):
+        table = self.trained()
+        before = self.state(table)
+        clone = copy.deepcopy(table)
+        assert clone.stats is not table.stats
+        clone.train(7, [900, 901, 902, 903])
+        clone.train(10_001, [5])
+        clone.touch(clone.index_of(14), 3)
+        clone.detach_memory()
+        assert self.state(table) == before
+        table.train(21, [77])
+        assert clone.lookup(21) is None or 77 not in clone.lookup(21)[1]
+
+    def test_shared_references_stay_shared(self):
+        memory = MainMemory(size_bytes=1 << 26)
+        table = self.trained(memory=memory)
+        holder = {"table": table, "allocation": table.allocation}
+        clone = copy.deepcopy(holder)
+        assert clone["table"].allocation is clone["allocation"]
+        assert clone["allocation"] == table.allocation
+        assert clone["table"].is_resident
 
 
 class TestValidation:
